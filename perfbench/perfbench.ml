@@ -7,8 +7,9 @@
        --seconds 30 --trace 0
 
    The last line of standard output is the result object; earlier lines
-   carry provenance and sample counts.  Spans and work counters are
-   written under perfbench/_out.  See README.md next to this file. *)
+   carry provenance, the host's speed and sample counts.  Spans and work
+   counters are written under perfbench/_out.  See README.md next to this
+   file. *)
 
 open Vpart
 module Diagnostic = Vpart_analysis.Diagnostic
@@ -59,6 +60,99 @@ let median = percentile 0.5
 let sum = List.fold_left ( +. ) 0.
 let sumi f = List.fold_left (fun acc x -> acc + f x) 0
 let ratio a b = if b = 0. then 0. else a /. b
+
+(* ------------------------------------------------------------------ *)
+(* Host speed                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The shared host's speed drifts by tens of percent over tens of
+   seconds, for any code alike, so raw wall times of the same work spread
+   past any useful bound between runs.  Each timed unit of work is
+   therefore followed by a fixed calibration kernel, independent of the
+   library, and its wall time is scaled by the kernel's reference time
+   over its measured time, the mean of the kernel runs just before and
+   just after the unit.  The end-to-end times are so in seconds of the
+   reference host. *)
+
+module Host = struct
+  (* The kernel mixes the three kinds of work whose speed the host's drift
+     changes differently: scattered float updates within 1 MiB (core
+     caches), the same over 8 MiB (shared cache and memory), and a chain
+     of dependent float operations in registers.  It allocates nothing,
+     so its time does not depend on the heap the library leaves behind. *)
+  let small = 1 lsl 17
+  let large = 1 lsl 20
+
+  let buffer n =
+    let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+    Bigarray.Array1.fill a 1e-3;
+    a
+
+  let small_buf = buffer small
+  let large_buf = buffer large
+
+  (* Resident size of the two buffers, left out of [peak_rss_mb]. *)
+  let buffers_mb = float_of_int (8 * (small + large)) /. 1048576.
+
+  let scatter (a : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t)
+      updates =
+    let mask = Bigarray.Array1.dim a - 1 in
+    for i = 0 to updates - 1 do
+      let j = (i * 7919) land mask in
+      a.{j} <- (a.{j} *. 0.999) +. (a.{i land mask} *. 1e-3)
+    done
+
+  let kernel () =
+    scatter small_buf (8 * small);
+    scatter large_buf small;
+    let s = ref 1.0 in
+    for i = 1 to 1_500_000 do
+      s := (!s *. 1.0000001) +. (float_of_int (i land 7) *. 1e-9)
+    done;
+    !s +. small_buf.{0} +. large_buf.{0}
+
+  (* One kernel run on the host the benchmark was built on, in seconds:
+     its median over the runs made there in a fast period. *)
+  let reference_s = 0.0060
+
+  let kernel_runs : float list ref = ref []
+  let raw_total = ref 0.
+  let scaled_total = ref 0.
+
+  (* Mean wall time of one kernel run, over at least [min_s] of runs. *)
+  let measure min_s =
+    let t0 = now () in
+    let rec go k =
+      ignore (Sys.opaque_identity (kernel ()));
+      let el = now () -. t0 in
+      if el >= min_s then el /. float_of_int k else go (k + 1)
+    in
+    let c = go 1 in
+    kernel_runs := c :: !kernel_runs;
+    c
+
+  let last = ref None
+
+  (* [f ()], its wall time and the factor that turns the wall time into
+     reference seconds.  The kernel runs for a twentieth of the unit's
+     time after it, and at least 20 ms. *)
+  let timed f =
+    let before = match !last with Some c -> c | None -> measure 0.02 in
+    let t0 = now () in
+    let x = f () in
+    let dt = now () -. t0 in
+    let after = measure (Float.max 0.02 (dt /. 20.)) in
+    last := Some after;
+    let k = reference_s /. ((before +. after) /. 2.) in
+    raw_total := !raw_total +. dt;
+    scaled_total := !scaled_total +. (dt *. k);
+    (x, dt, k)
+
+  (* [f ()] and its wall time in reference seconds. *)
+  let scaled f =
+    let x, dt, k = timed f in
+    (x, dt *. k)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Spans: recorded in memory around each call into a library layer,    *)
@@ -421,8 +515,8 @@ type measured = {
 
 (* The traced run does each unit of work twice: untraced, then traced
    inside a "workload" root span.  Pairing at this grain keeps the host's
-   speed drift out of the tracing overhead.  The untraced result is
-   returned. *)
+   speed drift out of the tracing overhead.  The untraced result and wall
+   time are returned. *)
 let untraced_s = ref 0.
 let traced_s = ref 0.
 
@@ -435,7 +529,7 @@ let paired f =
   Span.on := false;
   untraced_s := !untraced_s +. (t1 -. t0);
   traced_s := !traced_s +. (now () -. t1);
-  a
+  (a, t1 -. t0)
 
 (* Work outside the pairs (the budgeted MIP) is traced once. *)
 let traced_once f =
@@ -444,21 +538,32 @@ let traced_once f =
   Span.on := false;
   a
 
-let unit_of_work = if !traced_run then paired else fun f -> f ()
+(* A unit of work and its time: in reference seconds in a measured run,
+   the untraced wall time in a traced one. *)
+let unit_of_work f = if !traced_run then paired f else Host.scaled f
 
-(* Median wall time of [repeats] set-ups, and the last set-up's inputs.
-   Each set-up starts from a fully collected heap, so that it does not pay
-   for the garbage of the one before. *)
+(* Median over [repeats] samples of the time of one set-up in reference
+   seconds, and the last set-up's inputs.  A sample repeats the set-up
+   for at least 50 ms, because one set-up can take a millisecond, and
+   starts from a fully collected heap. *)
 let timed_setup repeats f =
-  let rec go k acc last =
-    if k = 0 then (median acc, Option.get last)
-    else
-      let () = Gc.full_major () in
-      let t0 = now () in
-      let x = f () in
-      go (k - 1) ((now () -. t0) :: acc) (Some x)
+  let sample () =
+    Gc.full_major ();
+    Host.scaled (fun () ->
+        let t0 = now () in
+        let rec go k =
+          let x = f () in
+          if now () -. t0 >= 0.05 then (x, k) else go (k + 1)
+        in
+        go 1)
   in
-  go repeats [] None
+  let rec loop n acc last =
+    if n = 0 then (median acc, Option.get last)
+    else
+      let (x, k), dt = sample () in
+      loop (n - 1) ((dt /. float_of_int k) :: acc) (Some x)
+  in
+  loop repeats [] None
 
 let setup_repeats = 21
 
@@ -515,26 +620,20 @@ let prove_optimal () =
   let setup_s, inputs = timed_setup setup_repeats prove_setup in
   let solves = prove_solves inputs in
   let one_pass () =
-    let t0 = now () in
-    let objs =
+    let timed =
       List.mapi
         (fun req (name, inst, sites, exact) ->
            unit_of_work (fun () -> prove_one refs ~req name inst sites exact))
         solves
     in
-    (now () -. t0, objs)
+    (sum (List.map snd timed), List.map fst timed)
   in
   let passes =
     if !traced_run then [ one_pass () ]
-    else begin
-      let start = now () in
-      let rec loop acc =
-        if List.length acc >= 2 && now () -. start >= float_of_int !seconds then
-          List.rev acc
-        else loop (one_pass () :: acc)
-      in
-      loop []
-    end
+    else
+      (* A fixed number of passes, one per 10 s of window and at least 2,
+         so that the host's speed does not change what is measured. *)
+      List.init (max 2 (!seconds / 10)) (fun _ -> one_pass ())
   in
   if !traced_run then begin
     let probe_inputs =
@@ -564,31 +663,27 @@ let paper_scale () =
      check, and the faster of the two is the seed's latency, so a single
      host stall does not set the tail. *)
   let sa_once s =
-    let c0 = now () in
     let r =
       Span.with_ ~req:s "sa_solver.solve" (fun () -> Sa_solver.solve ~options:(sa_options 2 s) inst)
     in
-    let dt = now () -. c0 in
     keep_sa r;
     let st = r.Sa_solver.search in
     record_work (Printf.sprintf "sa seed %d" s)
       (Printf.sprintf "moves=%d accepted=%d epochs=%d" st.Sa_solver.moves
          st.Sa_solver.accepted_moves st.Sa_solver.epochs);
     check (Printf.sprintf "SA seed %d certificate" s) (clean r.Sa_solver.certificate);
-    (dt, r.Sa_solver.objective6)
+    r.Sa_solver.objective6
   in
   let sa_list seeds () =
-    let t0 = now () in
     let out =
       List.map
         (fun s ->
-           unit_of_work (fun () ->
-               let d1, obj = sa_once s in
-               let d2, _ = sa_once s in
-               (Float.min d1 d2, obj)))
+           let obj, d1 = unit_of_work (fun () -> sa_once s) in
+           let _, d2 = unit_of_work (fun () -> sa_once s) in
+           (d1 +. d2, (Float.min d1 d2, obj)))
         seeds
     in
-    (now () -. t0, out)
+    (sum (List.map fst out), List.map snd out)
   in
   let budgeted_qp () =
     let options =
@@ -664,14 +759,18 @@ let stream () =
     if !Span.on then batch_summaries := s :: !batch_summaries;
     (List.rev !lat, List.rev !objs)
   in
-  let t0 = now () in
   let results =
     if !traced_run then
       (* Half the requests, in paired chunks of 100. *)
       List.init (count / 200) (fun k -> paired (run ~first:(100 * k) 100))
-    else [ run ~first:0 count () ]
+    else
+      (* Chunks of 50 requests, each scaled to the reference host as one
+         unit: a single request is too short to calibrate alone. *)
+      List.init (count / 50) (fun k ->
+          let (lat, objs), dt, f = Host.timed (run ~first:(50 * k) 50) in
+          ((List.map (fun l -> l *. f) lat, objs), dt *. f))
   in
-  let wall = now () -. t0 in
+  let wall = sum (List.map snd results) in
   if !traced_run then
     probe ~qp_solve:true ~batch:false
       (List.of_seq
@@ -681,10 +780,10 @@ let stream () =
             (Instance_gen.stream ~seed:(stream_base ()) ~count:16 stream_params)));
   ( setup_s,
     { passes = [ wall ];
-      calls = sumi (fun (l, _) -> List.length l) results;
+      calls = sumi (fun ((l, _), _) -> List.length l) results;
       busy = wall;
-      latencies = List.concat_map fst results;
-      objectives = List.concat_map snd results } )
+      latencies = List.concat_map (fun ((l, _), _) -> l) results;
+      objectives = List.concat_map (fun ((_, o), _) -> o) results } )
 
 (* ------------------------------------------------------------------ *)
 (* Metrics and output                                                  *)
@@ -719,7 +818,7 @@ let end_to_end setup_s m =
     ("latency_p50_ms", 1000. *. median m.latencies, "ms", List.length m.latencies);
     ("latency_p99_ms", 1000. *. percentile 0.99 m.latencies, "ms", List.length m.latencies);
     ("objective6", median m.objectives, "cost", List.length m.objectives);
-    ("peak_rss_mb", peak_rss_mb (), "MB", 1) ]
+    ("peak_rss_mb", peak_rss_mb () -. Host.buffers_mb, "MB", 1) ]
 
 let per_layer () =
   let fsum f l = sum (List.map f l) in
@@ -811,6 +910,13 @@ let () =
          (Printf.sprintf "trace-%s-seed%d.jsonl" !workload !seed))
       ~header:(provenance ());
   print_endline (provenance ());
+  (* The host's speed over the run: the timed work's raw wall seconds, the
+     same in reference seconds, and the kernel's time here and there. *)
+  Printf.printf
+    "{\"host\": {\"raw_s\": %.4f, \"reference_s\": %.4f, \"kernel_ms_p50\": %.4f, \
+     \"reference_kernel_ms\": %.4f, \"kernel_runs\": %d}}\n"
+    !Host.raw_total !Host.scaled_total (1000. *. median !Host.kernel_runs)
+    (1000. *. Host.reference_s) (List.length !Host.kernel_runs);
   Printf.printf "{\"samples\": {%s}}\n"
     (String.concat ", "
        (List.map (fun (name, _, _, k) -> Printf.sprintf "%S: %d" name k) metrics));
