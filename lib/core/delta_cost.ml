@@ -186,76 +186,24 @@ let rebuild t =
 
 let resync t = rebuild t
 
-(* Pooled buffers for repeated [create] calls over same-shaped problems
-   (the batch service): {!rebuild} overwrites every cache entry it will
-   later read, so reusing buffers verbatim cannot change any value a
-   fresh evaluator would compute — bit-identity is structural, not
-   numerical luck. *)
-module Workspace = struct
-  type buffers = {
-    nt : int;
-    na : int;
-    ns : int;
-    quad : Vec.t;
-    workq : Vec.t;
-    work : Vec.t;
-    repl : int array;
-    site_txns : int array array;
-    site_len : int array;
-    pos : int array;
-  }
-
-  type t = { mutable cached : buffers option }
-
-  let create () = { cached = None }
-
-  let buffers ws ~nt ~na ~ns =
-    match ws.cached with
-    | Some b when b.nt = nt && b.na = na && b.ns = ns -> b
-    | _ ->
-      let b =
-        {
-          nt;
-          na;
-          ns;
-          quad = Vec.create nt;
-          workq = Vec.create nt;
-          work = Vec.create ns;
-          repl = Array.make na 0;
-          site_txns = Array.init ns (fun _ -> Array.make nt 0);
-          site_len = Array.make ns 0;
-          pos = Array.make nt 0;
-        }
-      in
-      ws.cached <- Some b;
-      b
-end
-
-let create ?workspace ?latency (stats : Stats.t) ~lambda
-    (part : Partitioning.t) =
+let create ?latency (stats : Stats.t) ~lambda (part : Partitioning.t) =
   let nt = stats.Stats.num_txns
   and na = stats.Stats.num_attrs
   and ns = part.Partitioning.num_sites in
-  let b =
-    let ws =
-      match workspace with Some ws -> ws | None -> Workspace.create ()
-    in
-    Workspace.buffers ws ~nt ~na ~ns
-  in
   let t =
     {
       stats;
       lambda;
       part;
-      quad = b.Workspace.quad;
-      workq = b.Workspace.workq;
-      work = b.Workspace.work;
+      quad = Vec.create nt;
+      workq = Vec.create nt;
+      work = Vec.create ns;
       cost_quad = 0.;
       cost_lin = 0.;
-      repl = b.Workspace.repl;
-      site_txns = b.Workspace.site_txns;
-      site_len = b.Workspace.site_len;
-      pos = b.Workspace.pos;
+      repl = Array.make na 0;
+      site_txns = Array.init ns (fun _ -> Array.make nt 0);
+      site_len = Array.make ns 0;
+      pos = Array.make nt 0;
       lat = Option.map (fun (inst, pl) -> make_lat inst pl) latency;
       journal = [];
       jlen = 0;

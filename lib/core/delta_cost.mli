@@ -35,32 +35,15 @@ type move =
           site [s] (dropping their other replicas) — the disjoint-mode
           component move.  Undone as one unit by {!undo_move}. *)
 
-(** Reusable cache buffers for repeated {!create} calls (the batch
-    service's steady state).  A workspace caches the float vectors and
-    site-index arrays for the last problem shape it saw; {!create} reuses
-    them verbatim when the shape matches and reallocates otherwise.
-    Because {!create}'s full rebuild pass overwrites every cache entry
-    before it is read, a pooled evaluator is bit-identical to a fresh
-    one.  A workspace must not back two live evaluators at once: each
-    {!create} invalidates the previous evaluator drawn from the same
-    workspace. *)
-module Workspace : sig
-  type t
-
-  val create : unit -> t
-end
-
 val create :
-  ?workspace:Workspace.t ->
   ?latency:Instance.t * float -> Stats.t -> lambda:float -> Partitioning.t -> t
-(** [create ?workspace ?latency stats ~lambda part] builds the caches for
+(** [create ?latency stats ~lambda part] builds the caches for
     [part] in one full O(txns × attrs) pass.  [part] is owned by the
     evaluator from here on: {!apply_move} mutates it in place
     ({!partitioning} returns it).  [latency = (inst, pl)] additionally
     folds the Appendix-A term [lambda·pl·Σ_q f_q·ψ_q] into {!objective},
     matching the annealed objective of {!Sa_solver} ([inst] must be the
-    instance [stats] was computed from).  [workspace] pools the cache
-    buffers across calls; see {!Workspace}. *)
+    instance [stats] was computed from). *)
 
 val apply_move : t -> move -> float
 (** Apply the move to the wrapped partitioning and every cache; returns

@@ -15,12 +15,8 @@ type options = {
   certify_exact : bool;
   certify_tol : float option;
   jobs : int;
-  kernel : Simplex.kernel;
-  pricing : Simplex.pricing option;
-  refactor_every : int;
   scale : bool;
   break_symmetry : bool;
-  simplex_workspace : Simplex.Workspace.t option;
 }
 
 let default_options =
@@ -41,12 +37,8 @@ let default_options =
     certify_exact = false;
     certify_tol = None;
     jobs = 1;
-    kernel = Simplex.Sparse;
-    pricing = None;
-    refactor_every = 32;
     scale = false;
     break_symmetry = false;
-    simplex_workspace = None;
   }
 
 type outcome = Proved_optimal | Limit_feasible | Limit_no_solution | Too_large
@@ -65,7 +57,6 @@ type result = {
   model_rows : int;
   model_cols : int;
   row_limit : int option;
-  kernel : Simplex.kernel;
   diagnostics : Vpart_analysis.Diagnostic.t list;
   certificate : Vpart_analysis.Diagnostic.t list option;
   exact : Vpart_certify.Certify.Exact.report option;
@@ -438,9 +429,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
       node_limit = None;
       gap = options.gap;
       max_rows = options.max_rows;
-      kernel = options.kernel;
-      pricing = options.pricing;
-      refactor_every = options.refactor_every;
       scale = options.scale;
     }
   in
@@ -455,8 +443,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
   in
   let mip_outcome, mip_stats =
     Mip.solve ~limits ~priority ?heuristic ?incumbent
-      ~jobs:(max 1 options.jobs)
-      ?simplex_workspace:options.simplex_workspace model
+      ~jobs:(max 1 options.jobs) model
   in
   let elapsed = Obs.Clock.now () -. start in
   let finish outcome partitioning_reduced bound =
@@ -559,7 +546,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
       model_rows = Lp.num_constrs model;
       model_cols = ncols;
       row_limit = options.max_rows;
-      kernel = options.kernel;
       diagnostics;
       certificate;
       exact;

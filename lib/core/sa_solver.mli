@@ -70,18 +70,6 @@ type options = {
           1 (default) runs the chains sequentially on the caller.  The
           set of chain trajectories is identical for every [jobs] value
           when [time_limit] is [None]; only wall-clock changes. *)
-  full_eval : bool;
-      (** [false] (default): evaluate moves through the {!Delta_cost}
-          incremental kernel — O(affected transactions) per move, undo
-          journal instead of per-move snapshots; the kernel is resynced
-          against float drift at every epoch boundary and the final
-          claims are still re-derived from {!Cost_model}.  [true]: pay a
-          full {!Cost_model.objective} recompute (and a state snapshot)
-          per move — the pre-delta code path, kept as the measured
-          baseline of [bench perf] and as a cross-check.  The two modes
-          explore different (equally valid) trajectories: the delta
-          kernel's re-optimization steps break floating-point ties
-          through incrementally maintained coefficients. *)
 }
 
 val default_options : options

@@ -3,16 +3,12 @@ type limits = {
   node_limit : int option;
   gap : float;
   max_rows : int option;
-  kernel : Simplex.kernel;
-  pricing : Simplex.pricing option;
-  refactor_every : int;
   scale : bool;
 }
 
 let default_limits =
   { time_limit = Some 60.; node_limit = None; gap = 1e-3;
-    max_rows = Some 32000; kernel = Simplex.Sparse; pricing = None;
-    refactor_every = 32; scale = false }
+    max_rows = Some 32000; scale = false }
 
 type solution = { x : float array; obj : float }
 
@@ -151,28 +147,47 @@ let round_integers std x =
     std.Lp.integer;
   y
 
-(* Try to install [cand] as the new incumbent.  The candidate is vetted
-   against the original model (bounds, rows, integrality). *)
-let offer s cand =
+(* Round [cand] and vet it against the model (bounds, rows,
+   integrality); [None] when the rounded point is infeasible. *)
+let vet s cand =
   let cand = round_integers s.std cand in
-  if Lp.check_feasible ~tol:1e-5 s.std cand then begin
-    let obj = Lp.eval_objective s.std cand in
-    if obj < s.incumbent_obj -. 1e-9 then begin
-      s.incumbent <- Some cand;
-      s.incumbent_obj <- obj;
-      publish_shared s;
-      if Obs.enabled () then
-        Obs.point "mip.incumbent"
-          ~attrs:
-            [
-              ("obj", Obs.Float (Lp.restore_objective s.std obj));
-              ("node", Obs.Int s.nodes);
-            ];
-      true
-    end
-    else false
+  if Lp.check_feasible ~tol:1e-5 s.std cand then Some cand else None
+
+(* Install a vetted point as the new incumbent if its evaluated
+   objective improves on the current one. *)
+let install s cand =
+  let obj = Lp.eval_objective s.std cand in
+  if obj < s.incumbent_obj -. 1e-9 then begin
+    s.incumbent <- Some cand;
+    s.incumbent_obj <- obj;
+    publish_shared s;
+    if Obs.enabled () then
+      Obs.point "mip.incumbent"
+        ~attrs:
+          [
+            ("obj", Obs.Float (Lp.restore_objective s.std obj));
+            ("node", Obs.Int s.nodes);
+          ]
   end
-  else false
+
+let offer s cand = Option.iter (install s) (vet s cand)
+
+(* A subtree whose relaxation cannot be trusted is abandoned; losing it
+   voids the optimality proof, which the caller reports via the gap. *)
+let numerical_prune s =
+  s.numerical_prunes <- s.numerical_prunes + 1;
+  Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
+
+(* An integral LP leaf: its rounded point becomes the incumbent only if
+   it passes the vet.  A leaf that is integral within [int_tol] but
+   whose rounding breaks a row is a numerical prune, never an incumbent
+   claimed at the LP bound. *)
+let integral_leaf s x =
+  match vet s x with
+  | Some cand ->
+    Obs.count "mip.integral_leaf" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.;
+    install s cand
+  | None -> numerical_prune s
 
 let most_fractional s x =
   let best = ref (-1) and best_frac = ref int_tol and best_prio = ref min_int in
@@ -212,11 +227,7 @@ let rec branch s depth =
   match Simplex.reoptimize ?deadline:s.deadline s.sx with
   | Simplex.Infeasible -> Obs.count "mip.prune.infeasible" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
   | Simplex.Time_limit -> raise Hit_limit
-  | Simplex.Iter_limit | Simplex.Numerical ->
-    (* Cannot trust this subtree's relaxation; abandoning it loses the
-       optimality proof, which the caller reports via the gap. *)
-    s.numerical_prunes <- s.numerical_prunes + 1;
-    Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
+  | Simplex.Iter_limit | Simplex.Numerical -> numerical_prune s
   | Simplex.Unbounded -> ()  (* cannot happen from reoptimize *)
   | Simplex.Optimal ->
     let bound = Simplex.objective s.sx +. s.std.Lp.obj_const in
@@ -225,27 +236,11 @@ let rec branch s depth =
     else begin
       let x = Simplex.primal s.sx in
       match most_fractional s x with
-      | None ->
-        Obs.count "mip.integral_leaf" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.;
-        if not (offer s x) then
-          (* Rounding failed the vet (tolerance artifact): accept the raw
-             relaxation point, which is integral within int_tol. *)
-          if bound < s.incumbent_obj -. 1e-9 then begin
-            s.incumbent <- Some (round_integers s.std x);
-            s.incumbent_obj <- bound;
-            publish_shared s;
-            if Obs.enabled () then
-              Obs.point "mip.incumbent"
-                ~attrs:
-                  [
-                    ("obj", Obs.Float (Lp.restore_objective s.std bound));
-                    ("node", Obs.Int s.nodes);
-                  ]
-          end
+      | None -> integral_leaf s x
       | Some j ->
         (match s.heuristic with
          | Some h when s.nodes land 31 = 1 ->
-           (match h x with Some cand -> ignore (offer s cand) | None -> ())
+           (match h x with Some cand -> offer s cand | None -> ())
          | _ -> ());
         check_gap s bound;
         let lo, hi = Simplex.bounds s.sx j in
@@ -382,8 +377,7 @@ let parallel_search s ~root_bound ~jobs =
            stopped := true;
            contribs := node.sub_bound :: !contribs
          | Simplex.Iter_limit | Simplex.Numerical ->
-           s.numerical_prunes <- s.numerical_prunes + 1;
-           Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.;
+           numerical_prune s;
            contribs := node.sub_bound :: !contribs
          | Simplex.Unbounded -> ()  (* cannot happen from reoptimize *)
          | Simplex.Optimal ->
@@ -397,20 +391,10 @@ let parallel_search s ~root_bound ~jobs =
              let x = Simplex.primal s.sx in
              match most_fractional s x with
              | None ->
-               Obs.count "mip.integral_leaf" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.;
-               if not (offer s x) then
-                 if bound < s.incumbent_obj -. 1e-9 then begin
-                   s.incumbent <- Some (round_integers s.std x);
-                   s.incumbent_obj <- bound;
-                   publish_shared s;
-                   if Obs.enabled () then
-                     Obs.point "mip.incumbent"
-                       ~attrs:
-                         [
-                           ("obj", Obs.Float (Lp.restore_objective s.std bound));
-                           ("node", Obs.Int s.nodes);
-                         ]
-                 end
+               let prunes = s.numerical_prunes in
+               integral_leaf s x;
+               if s.numerical_prunes > prunes then
+                 contribs := node.sub_bound :: !contribs
              | Some j ->
                let lo, hi = Simplex.bounds s.sx j in
                let fl = Float.of_int (int_of_float (Float.floor x.(j)))
@@ -563,8 +547,7 @@ let outcome_tag = function
   | Too_large _ -> "too_large"
 
 let solve ?(limits = default_limits) ?(presolve = false)
-    ?(priority = fun _ -> 0) ?heuristic ?incumbent ?(jobs = 1)
-    ?simplex_workspace model =
+    ?(priority = fun _ -> 0) ?heuristic ?incumbent ?(jobs = 1) model =
   let original_std = Lp.standardize model in
   Obs.with_span "mip.solve"
     ~attrs:
@@ -693,10 +676,7 @@ let solve ?(limits = default_limits) ?(presolve = false)
     finish (Too_large { rows = std.Lp.nrows; limit = r }) ~nodes:0 ~iters:0
       ~refacs:0 ~etas:0 ~eta_len:0 ~gap_achieved:infinity ~audit:no_audit
   | _ ->
-    let sx =
-      Simplex.create ?workspace:simplex_workspace ~kernel:limits.kernel
-        ?pricing:limits.pricing ~refactor_every:limits.refactor_every std
-    in
+    let sx = Simplex.create std in
     let deadline = Option.map (fun tl -> start +. tl) limits.time_limit in
     let int_vars =
       Array.of_list
@@ -716,7 +696,7 @@ let solve ?(limits = default_limits) ?(presolve = false)
         shared = None;
       }
     in
-    (match incumbent with Some c -> ignore (offer s c) | None -> ());
+    (match incumbent with Some c -> offer s c | None -> ());
     let root_status = Simplex.reoptimize ?deadline s.sx in
     (match root_status with
      | Simplex.Infeasible ->
@@ -784,7 +764,7 @@ let solve ?(limits = default_limits) ?(presolve = false)
          (* Root heuristic. *)
          (match heuristic with
           | Some h ->
-            (match h root_x with Some cand -> ignore (offer s cand) | None -> ())
+            (match h root_x with Some cand -> offer s cand | None -> ())
           | None -> ());
          let interrupted, proven_lb, support, par_iters, par_refacs, par_etas =
            if jobs <= 1 then (
@@ -818,9 +798,13 @@ let solve ?(limits = default_limits) ?(presolve = false)
              proven_bound = (if glb_known then Some lb_min else None);
              numerical_prunes = s.numerical_prunes }
          in
+         (* An abandoned subtree voids the proof like a limit does:
+           without an incumbent, "infeasible" needs an exhaustive search,
+           and "optimal" needs the gap closed against the bound left. *)
+         let proof_lost = interrupted || s.numerical_prunes > 0 in
          match s.incumbent with
          | None ->
-           if interrupted then
+           if proof_lost then
              finish (No_incumbent (Some (Lp.restore_objective std lb_min)))
                ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len
                ~gap_achieved:infinity ~audit:(audit true)
@@ -830,7 +814,7 @@ let solve ?(limits = default_limits) ?(presolve = false)
          | Some x ->
            let sol = { x; obj = Lp.restore_objective std s.incumbent_obj } in
            let g = rel_gap s.incumbent_obj lb_min in
-           if (not interrupted) || g <= limits.gap then
+           if (not proof_lost) || g <= limits.gap then
              finish (Optimal sol) ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len
                ~gap_achieved:(Float.max g 0.) ~audit:(audit true)
            else

@@ -21,18 +21,8 @@ type limits = {
   gap : float;                (** relative MIP gap at which to stop, e.g. 0.001 *)
   max_rows : int option;
       (** refuse models with more rows — a guard against runaway basis
-          work, sized to what the configured {!Vpart_simplex.Simplex}
-          kernel sustains (the sparse LU kernel raised it far beyond the
-          old dense-inverse ceiling) *)
-  kernel : Simplex.kernel;
-      (** basis kernel for the node LPs (see
-          {!Vpart_simplex.Simplex.create}); [Sparse] by default *)
-  pricing : Simplex.pricing option;
-      (** pricing rule override; [None] takes the kernel's default
-          (devex for the sparse kernel, Dantzig otherwise) *)
-  refactor_every : int;
-      (** eta-file length at which the basis is refactorized (sparse
-          kernel) or folded (eta kernel); ignored by the dense kernel *)
+          work, sized to what the {!Vpart_simplex.Simplex} sparse LU
+          kernel sustains *)
   scale : bool;
       (** geometric-mean scaling ({!Presolve.scaling}) of the search model
           (after presolve, when both are on).  The branch-and-bound then
@@ -45,9 +35,7 @@ type limits = {
 }
 
 val default_limits : limits
-(** 60 s, unlimited nodes, gap 0.001, 32000 rows, sparse LU kernel with
-    its default (devex) pricing and refactorization every 32 pivots, no
-    scaling. *)
+(** 60 s, unlimited nodes, gap 0.001, 32000 rows, no scaling. *)
 
 type solution = {
   x : float array;  (** structural values; integer variables are integral *)
@@ -109,8 +97,9 @@ type audit = {
           multipliers on removed rows and may be weaker than the reduced
           problem's internal bound *)
   numerical_prunes : int;
-      (** subtrees abandoned on simplex numerical trouble; nonzero values
-          void the optimality proof down to the root bound *)
+      (** subtrees abandoned on simplex numerical trouble, and integral
+          leaves whose rounded point failed the vet; nonzero values void
+          the optimality proof down to the root bound *)
 }
 (** Independently checkable artifacts from the solve, in the {e original}
     (pre-presolve) spaces.  Consumed by [Vpart_certify.Certify.certify_mip];
@@ -121,11 +110,9 @@ type stats = {
   simplex_iterations : int;
   refactorizations : int;
       (** basis refactorizations across the root instance and all worker
-          copies; with the [Dense] kernel this counts only the
-          cadence/recovery rebuilds *)
+          copies *)
   eta_applications : int;
-      (** eta-matrix applications summed likewise; 0 with the [Dense]
-          kernel.  Emitted as the [simplex.eta_applications] counter (and
+      (** eta-matrix applications summed likewise.  Emitted as the [simplex.eta_applications] counter (and
           the root's high-water eta-file length as the [simplex.eta_len]
           gauge) next to [mip.nodes]/[mip.simplex_iterations]. *)
   elapsed : float;          (** seconds *)
@@ -143,7 +130,6 @@ val solve :
   ?heuristic:(float array -> float array option) ->
   ?incumbent:float array ->
   ?jobs:int ->
-  ?simplex_workspace:Simplex.Workspace.t ->
   Lp.model ->
   outcome * stats
 (** Solve the model.  [priority v] orders branching candidates (higher
@@ -173,12 +159,12 @@ val solve :
     [heuristic] callbacks must be thread-safe (pure functions of their
     arguments); the ones built by [Qp_solver] are.
 
-    [simplex_workspace] pools the root simplex instance's dense float
-    storage across repeated solves (see
-    {!Vpart_simplex.Simplex.Workspace}): a batch loop that solves many
-    models through one workspace stops paying per-solve major-heap
-    allocations for the simplex vectors.  The workspace must not be
-    shared across concurrent [solve] calls; worker copies made under
-    [jobs > 1] always allocate fresh storage. *)
+    An LP leaf that is integral within tolerance but whose rounded point
+    fails the vet is abandoned as a numerical prune: it never becomes an
+    incumbent.  Any numerical prune voids the proof like a limit does:
+    the outcome is [Optimal] only when the incumbent is within [gap] of
+    the bound that remains (else [Feasible], or [No_incumbent] instead
+    of [Infeasible]), and the lost proof shows in [gap_achieved] and
+    [audit.numerical_prunes]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -2,7 +2,7 @@
 
     Both traces are folded through {!Profile.of_events}; span rows are
     aligned by full span {e path} (the folded-stack key, e.g.
-    ["mip.solve;simplex.solve;simplex.refactor"]) and counter rows by
+    ["mip.solve;simplex.solve;simplex.lu_refactor"]) and counter rows by
     counter name (totals summed over the whole trace).  Each row gets a
     verdict against a noise threshold: a relative change within
     [threshold_pct] — or an absolute change below the per-kind floor —

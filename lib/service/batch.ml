@@ -121,15 +121,9 @@ let run ?(jobs = 1) ?window ?(options = Qp_solver.default_options) ~action
     ~emit seq =
   let jobs = max 1 jobs in
   let window = max jobs (Option.value window ~default:(8 * jobs)) in
-  (* One workspace pair per pool participant ({!Par.worker_index}):
-     domain-local, so pooled solver state is never shared across
-     concurrently running requests. *)
-  let sx_ws = Array.init jobs (fun _ -> Simplex.Workspace.create ()) in
-  let dc_ws = Array.init jobs (fun _ -> Delta_cost.Workspace.create ()) in
   let g0 = Gc.quick_stat () in
   let handle (index, name, inst) =
     let t0 = Obs.Clock.now () in
-    let wi = Par.worker_index () in
     let r =
       try
         match action with
@@ -138,8 +132,7 @@ let run ?(jobs = 1) ?window ?(options = Qp_solver.default_options) ~action
           let stats = Stats.compute inst ~p:options.Qp_solver.p in
           let part = Partitioning.single_site inst in
           let dc =
-            Delta_cost.create ~workspace:dc_ws.(wi) stats
-              ~lambda:options.Qp_solver.lambda part
+            Delta_cost.create stats ~lambda:options.Qp_solver.lambda part
           in
           let clean = not (Vpart_analysis.Diagnostic.has_errors diags) in
           {
@@ -158,7 +151,6 @@ let run ?(jobs = 1) ?window ?(options = Qp_solver.default_options) ~action
               options with
               Qp_solver.certify =
                 options.Qp_solver.certify || action = Certify;
-              simplex_workspace = Some sx_ws.(wi);
             }
           in
           let r = Qp_solver.solve ~options inst in

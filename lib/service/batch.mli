@@ -6,19 +6,10 @@
     the caller's [emit] callback {e in submission order} — the JSONL
     writer never has to buffer or re-sort.
 
-    Memory is bounded two ways:
-
-    - the stream is consumed in windows of [window] requests, so at most
-      one window of instances and responses is live at a time no matter
-      how long the sweep is (a 10k-instance run holds tens, not
-      thousands);
-    - every pool participant owns a {!Vpart_simplex.Simplex.Workspace}
-      and a {!Delta_cost.Workspace} (indexed by {!Par.worker_index}), so
-      steady-state solving reuses the simplex float arena and the
-      delta-evaluator cache buffers instead of reallocating them per
-      request.  Pooled state never changes results: pooled and fresh
-      solver instances are bit-identical by construction (enforced by
-      [test/test_simplex.ml] and [test/test_batch.ml]).
+    Memory is bounded by consuming the stream in windows of [window]
+    requests, so at most one window of instances and responses is live
+    at a time no matter how long the sweep is (a 10k-instance run holds
+    tens, not thousands).  Every request allocates its own solver state.
 
     Observability: the sweep runs inside a [batch.run] span, counts
     [batch.requests] / [batch.failures], and records per-request latency
@@ -30,10 +21,10 @@ open Vpart
 type action =
   | Check
       (** Lint the instance ({!Instance_lint.lint}) and evaluate the
-          single-site baseline objective through a pooled
+          single-site baseline objective through a
           {!Delta_cost} evaluator — the cheap, allocation-dominated
           action for memory-behaviour sweeps. *)
-  | Solve  (** {!Qp_solver.solve} with the pooled simplex workspace. *)
+  | Solve  (** {!Qp_solver.solve}. *)
   | Certify
       (** [Solve] with self-certification on: every claim of every
           result is re-derived ({!Qp_solver.options.certify}), and a
@@ -93,8 +84,7 @@ val run :
     [window] (default [8 * jobs]) bounds in-flight requests; [options]
     (default {!Qp_solver.default_options}) configures [Solve]/[Certify]
     solves and the [Check] evaluation ([p], [lambda], [num_sites]) —
-    its [certify] flag is forced on by [Certify] and its
-    [simplex_workspace] is overridden with the per-domain arena.
+    its [certify] flag is forced on by [Certify].
     [emit] runs on the calling domain, in stream order.  A request that
     raises becomes an [outcome = "error"] response instead of aborting
     the sweep. *)

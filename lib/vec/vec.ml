@@ -15,7 +15,6 @@ let copy (v : t) : t =
   c
 
 let blit (src : t) (dst : t) = Bigarray.Array1.blit src dst
-let sub (v : t) pos len : t = Bigarray.Array1.sub v pos len
 let of_array (a : float array) : t = Bigarray.Array1.of_array Float64 C_layout a
 
 let to_array (v : t) =
@@ -33,18 +32,6 @@ let mat_create rows cols : mat =
   let m = Bigarray.Array2.create Float64 C_layout rows cols in
   Bigarray.Array2.fill m 0.;
   m
-
-let mat_empty : mat = Bigarray.Array2.create Float64 C_layout 0 0
-let dim1 (m : mat) = Bigarray.Array2.dim1 m
-let dim2 (m : mat) = Bigarray.Array2.dim2 m
-
-let mat_copy (m : mat) : mat =
-  let c =
-    Bigarray.Array2.create Float64 C_layout (Bigarray.Array2.dim1 m)
-      (Bigarray.Array2.dim2 m)
-  in
-  Bigarray.Array2.blit m c;
-  c
 
 let row (m : mat) i : t = Bigarray.Array2.slice_left m i
 

@@ -1,13 +1,10 @@
 (** Flat Float64 vectors and matrices over [Bigarray] (C layout).
 
-    The hot dense structures of the solver stack — simplex work vectors,
-    the dense basis inverse, and the cost-model matrices — live in
-    bigarrays rather than [float array]/[float array array]: the payload
-    is a single unboxed malloc'd block outside the OCaml heap, so the GC
-    never scans or copies it, rows of a matrix are contiguous (C layout),
-    and buffers can be carved out of a pre-allocated arena
-    ({!Simplex.Workspace}) for O(1) steady-state allocation in batch
-    solving.
+    The hot dense structures of the solver stack — simplex work vectors
+    and the cost-model matrices — live in bigarrays rather than
+    [float array]/[float array array]: the payload is a single unboxed
+    malloc'd block outside the OCaml heap, so the GC never scans or
+    copies it, and rows of a matrix are contiguous (C layout).
 
     Element access uses the standard index syntax: [v.{i}] and
     [m.{i, j}].  Unlike [Array.make], {!create} and {!mat_create}
@@ -37,10 +34,6 @@ val copy : t -> t
 val blit : t -> t -> unit
 (** [blit src dst] copies [src] into [dst]; lengths must match. *)
 
-val sub : t -> int -> int -> t
-(** [sub v pos len] is a {e view} sharing storage with [v] — writes
-    through either alias are visible in both. *)
-
 val of_array : float array -> t
 
 val to_array : t -> float array
@@ -53,15 +46,6 @@ val sum : t -> float
 
 val mat_create : int -> int -> mat
 (** [mat_create rows cols], zero-filled. *)
-
-val mat_empty : mat
-(** The 0×0 matrix (placeholder for kernels that allocate no inverse). *)
-
-val dim1 : mat -> int
-
-val dim2 : mat -> int
-
-val mat_copy : mat -> mat
 
 val row : mat -> int -> t
 (** [row m i] is a {e view} of row [i] sharing storage with [m]

@@ -105,52 +105,6 @@ let prop_delta_agrees =
        done;
        true)
 
-(* Pooled-vs-fresh bit-identity: an evaluator whose cache buffers come
-   from a reused {!Delta_cost.Workspace} must track a fresh evaluator
-   bit-for-bit over an arbitrary move/undo/resync sequence, even when the
-   workspace is dirty from a previous, differently sized instance.  This
-   is the guard that lets the batch service pool journals across
-   requests. *)
-let prop_pooled_equals_fresh =
-  QCheck2.Test.make ~count:40
-    ~name:"pooled delta evaluator is bit-identical to fresh"
-    QCheck2.Gen.(tup3 (int_range 0 100000) (int_range 2 4) (int_range 2 6))
-    (fun (seed, num_sites, tables) ->
-       let params =
-         { Instance_gen.default_params with
-           Instance_gen.name = Printf.sprintf "pool%d" seed;
-           num_tables = tables;
-           num_transactions = 3;
-           update_percent = 40;
-         }
-       in
-       let ws = Delta_cost.Workspace.create () in
-       (* Dirty the cached buffers with a differently shaped instance so
-          the pooled run below starts from stale contents. *)
-       let d_inst =
-         Instance_gen.generate ~seed:(seed + 1)
-           { params with Instance_gen.num_tables = tables + 1 }
-       in
-       let d_stats = Stats.compute d_inst ~p:8. in
-       ignore
-         (Delta_cost.create ~workspace:ws d_stats ~lambda:0.5
-            (Partitioning.single_site d_inst));
-       let run workspace =
-         let inst = Instance_gen.generate ~seed params in
-         let stats = Stats.compute inst ~p:8. in
-         let st = Random.State.make [| seed; 99 |] in
-         let part = random_partitioning st stats ~num_sites in
-         let dc = Delta_cost.create ?workspace stats ~lambda:0.3 part in
-         let marks = ref [] in
-         let trace = ref [ Int64.bits_of_float (Delta_cost.objective dc) ] in
-         for _ = 1 to 40 do
-           random_action st dc stats ~num_sites ~marks;
-           trace := Int64.bits_of_float (Delta_cost.objective dc) :: !trace
-         done;
-         !trace
-       in
-       run (Some ws) = run None)
-
 (* ------------------------------------------------------------------ *)
 (* Fixtures on the hand-computed tiny instance (cf. test_core.ml)      *)
 (* ------------------------------------------------------------------ *)
@@ -273,6 +227,5 @@ let () =
          Alcotest.test_case "exchange resync" `Quick test_exchange_resync;
        ]);
       ("properties",
-       [ QCheck_alcotest.to_alcotest prop_delta_agrees;
-         QCheck_alcotest.to_alcotest prop_pooled_equals_fresh ]);
+       [ QCheck_alcotest.to_alcotest prop_delta_agrees ]);
     ]

@@ -104,6 +104,53 @@ let test_incumbent_seed () =
   let sol = get_optimal "seeded" out in
   Alcotest.(check (float 1e-6)) "objective" 2. sol.Mip.obj
 
+(* An LP leaf that is integral within the solver's tolerance but whose
+   rounded point breaks a row: min x s.t. 1e6·x >= 0.5, x integer.  The
+   relaxation rests at x = 5e-7, which reads as integral, yet rounding it
+   to 0 violates the row by 0.5.  The leaf must count as a numerical
+   prune, never as an incumbent claimed at the LP bound, and any
+   incumbent that is returned must certify at its evaluated objective. *)
+let test_rounding_fails_vet () =
+  let m = Lp.create () in
+  let x = Lp.add_var m ~ub:10. ~integer:true () in
+  Lp.add_constr m [ (1e6, x) ] Lp.Ge 0.5;
+  Lp.set_objective m Lp.Minimize [ (1., x) ];
+  let std = Lp.standardize m in
+  let check_incumbent name (sol : Mip.solution) =
+    (match Vpart_certify.Certify.certify_point std sol.Mip.x with
+     | [] -> ()
+     | _ -> Alcotest.failf "%s: returned incumbent fails certification" name);
+    Alcotest.(check (float 1e-9))
+      (name ^ ": objective is the point's evaluated value")
+      (Lp.restore_objective std (Lp.eval_objective std sol.Mip.x))
+      sol.Mip.obj
+  in
+  let solve ?incumbent name =
+    let out, stats = Mip.solve ~limits:exact_limits ?incumbent m in
+    if stats.Mip.audit.Mip.numerical_prunes < 1 then
+      Alcotest.failf "%s: the unvettable leaf was not a numerical prune" name;
+    (match out with
+     | Mip.Optimal sol | Mip.Feasible (sol, _) -> check_incumbent name sol
+     | _ -> ());
+    (out, stats)
+  in
+  (match solve "unseeded" with
+   | Mip.No_incumbent (Some _), stats ->
+     Alcotest.(check bool) "unseeded: no finite gap" true
+       (stats.Mip.gap_achieved = infinity)
+   | out, _ ->
+     Alcotest.failf "unseeded: expected no incumbent with a bound, got %a"
+       Mip.pp_outcome out);
+  match solve ~incumbent:[| 1. |] "seeded" with
+  | Mip.Feasible (sol, _), stats ->
+    Alcotest.(check (float 1e-9)) "seeded: keeps the vetted seed" 1.
+      sol.Mip.obj;
+    if stats.Mip.gap_achieved <= exact_limits.Mip.gap then
+      Alcotest.fail "seeded: the lost proof must show in the gap"
+  | out, _ ->
+    Alcotest.failf "seeded: expected a feasible outcome, got %a"
+      Mip.pp_outcome out
+
 let test_heuristic_hook () =
   (* The heuristic's proposal must be vetted and used when it is optimal. *)
   let m = Lp.create () in
@@ -278,6 +325,8 @@ let () =
          Alcotest.test_case "too large" `Quick test_too_large;
          Alcotest.test_case "incumbent seed" `Quick test_incumbent_seed;
          Alcotest.test_case "heuristic hook" `Quick test_heuristic_hook;
+         Alcotest.test_case "rounding fails the vet" `Quick
+           test_rounding_fails_vet;
          Alcotest.test_case "presolve equivalence" `Quick test_presolve_equivalence;
          Alcotest.test_case "presolve infeasible" `Quick test_presolve_infeasible;
        ]);
