@@ -76,10 +76,6 @@ type pool = {
   busy : bool Atomic.t;            (* a batch is being submitted/run *)
 }
 
-let index_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let worker_index () = Domain.DLS.get index_key
-
 let recommended_jobs () = Domain.recommended_domain_count ()
 
 (* Run tasks from [deques], preferring participant [me]'s own deque and
@@ -105,7 +101,6 @@ let participate ~me (b : batch) =
   own ()
 
 let worker pool me () =
-  Domain.DLS.set index_key me;
   let last_gen = ref 0 in
   let rec loop () =
     Mutex.lock pool.lock;

@@ -57,9 +57,3 @@ val map_list : pool -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : pool -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map_list}. *)
-
-val worker_index : unit -> int
-(** Index of the current participant in the pool that is running the
-    current task: [0] for the pool's caller domain, [1 .. jobs - 1] for
-    the workers.  Returns [0] outside any pool.  Stable for the lifetime
-    of a task; used e.g. to pick a per-domain RNG stream. *)

@@ -56,7 +56,7 @@ let warm_limit = 64
    so [copy] can share them. *)
 type eta = {
   er : int;            (* pivot basis position *)
-  idx : int array;     (* rows i <> er with w_i <> 0 *)
+  idx : int array;     (* rows i <> er with w_i <> 0, ascending *)
   va : float array;    (* the corresponding w_i *)
   piv : float;         (* w_er *)
 }
@@ -74,6 +74,8 @@ type t = {
   ub_patched : bool array;
   col_idx : int array array;      (* structural columns only *)
   col_val : float array array;
+  slack_idx : int array array;    (* m: slack column i is [| i |] ... *)
+  unit_val : float array;         (* ... with value [| 1. |] *)
   row_idx : int array array;      (* row-major mirror, for scatter pricing *)
   row_val : float array array;
   b : Vec.t;
@@ -98,7 +100,9 @@ type t = {
   mutable eta_len_max : int;      (* high-water eta-file length *)
   rho : Vec.t;                    (* m scratch: pivot row e_r B^-1 *)
   uscratch : Vec.t;               (* m scratch: sparse btran (zero outside) *)
-  utouched : int array;           (* m scratch: nonzero rows of uscratch *)
+  utouched : int array;           (* m scratch: nonzero rows of uscratch,
+                                     ascending *)
+  wpat : int array;               (* m scratch: off-pivot nonzero rows of w *)
   umark : bool array;             (* m scratch: membership (false outside) *)
   xb_save : Vec.t;                (* m scratch: drift detection *)
   mutable total_iters : int;
@@ -207,6 +211,8 @@ let create ?(refactor_every = 32) (std : Lp.std) =
     n; m; nn; cost; lb; ub; lb_patched; ub_patched;
     col_idx;
     col_val;
+    slack_idx = Array.init m (fun i -> [| i |]);
+    unit_val = [| 1. |];
     row_idx = std.Lp.row_idx;
     row_val = std.Lp.row_val;
     b;
@@ -232,6 +238,7 @@ let create ?(refactor_every = 32) (std : Lp.std) =
     rho = Vec.create m;
     uscratch = Vec.create m;
     utouched = Array.make m 0;
+    wpat = Array.make m 0;
     umark = Array.make m false;
     xb_save = Vec.create m;
     total_iters = 0;
@@ -252,11 +259,12 @@ let create ?(refactor_every = 32) (std : Lp.std) =
   t
 
 (* Independent snapshot for a worker domain.  [cost], [b], [col_idx],
-   [col_val], [row_idx] and [row_val] are write-once after [create]
-   (verified: no mutation site in this module), so the copy shares them;
-   LU factors and eta records are immutable after construction, so they
-   are shared too.  Everything the solve mutates -- bounds, basis,
-   values, reduced costs, scratch, counters -- is
+   [col_val], [slack_idx], [unit_val], [row_idx] and [row_val] are
+   write-once after [create] (verified: no mutation site in this module,
+   and {!Sparse_lu.factor} does not write to its input columns), so the
+   copy shares them; LU factors and eta records are immutable after
+   construction, so they are shared too.  Everything the solve mutates --
+   bounds, basis, values, reduced costs, scratch, counters -- is
    deep-copied so the copy can reoptimize concurrently with (or instead
    of) the original. *)
 let copy t =
@@ -283,6 +291,7 @@ let copy t =
     rho = Vec.copy t.rho;
     uscratch = Vec.copy t.uscratch;
     utouched = Array.copy t.utouched;
+    wpat = Array.copy t.wpat;
     umark = Array.copy t.umark;
     xb_save = Vec.copy t.xb_save;
     infeas_ray = Option.map Array.copy t.infeas_ray;
@@ -369,20 +378,12 @@ let apply_etas_rev_row t (u : Vec.t) =
   done
 
 (* Push the eta derived from entering column w (= B^-1 A_q) at pivot row
-   r. *)
-let push_eta t r (w : Vec.t) =
-  let cnt = ref 0 in
-  for i = 0 to t.m - 1 do
-    if i <> r && w.{i} <> 0. then incr cnt
-  done;
-  let idx = Array.make !cnt 0 and va = Array.make !cnt 0. in
-  let k = ref 0 in
-  for i = 0 to t.m - 1 do
-    if i <> r && w.{i} <> 0. then begin
-      idx.(!k) <- i;
-      va.(!k) <- w.{i};
-      incr k
-    end
+   r, whose off-pivot nonzero rows [devex_update] left ascending in the
+   first [nz] entries of [t.wpat]. *)
+let push_eta t r (w : Vec.t) nz =
+  let idx = Array.sub t.wpat 0 nz and va = Array.make nz 0. in
+  for k = 0 to nz - 1 do
+    va.(k) <- w.{idx.(k)}
   done;
   if t.neta >= Array.length t.etas then begin
     let grown = Array.make (max 8 (2 * Array.length t.etas)) dummy_eta in
@@ -395,14 +396,24 @@ let push_eta t r (w : Vec.t) =
 
 (* rho := e_r B^-1 into t.rho, by a sparse btran of e_r: the unit vector
    stays sparse through the eta file (each eta touches only its own [er]
-   entry), so the B0^-1 half is a sparse-RHS LU btran. *)
+   entry), so the B0^-1 half is a sparse-RHS LU btran.  The touched rows
+   (at most one per eta, plus r) are kept ascending; when they are few
+   next to an eta's length, each is found in the eta's ascending [idx] by
+   bisection instead of scanning [idx] for marked rows.  Both ways add the
+   same terms in the same (ascending row) order, so the result is
+   bit-identical. *)
 let compute_rho t r =
   let u = t.uscratch and mark = t.umark and touched = t.utouched in
   let ntouch = ref 0 in
   let touch i =
     if not mark.(i) then begin
       mark.(i) <- true;
-      touched.(!ntouch) <- i;
+      let p = ref !ntouch in
+      while !p > 0 && touched.(!p - 1) > i do
+        touched.(!p) <- touched.(!p - 1);
+        decr p
+      done;
+      touched.(!p) <- i;
       incr ntouch
     end
   in
@@ -412,10 +423,25 @@ let compute_rho t r =
     let e = t.etas.(k) in
     let acc = ref (if mark.(e.er) then u.{e.er} else 0.) in
     let idx = e.idx and va = e.va in
-    for i = 0 to Array.length idx - 1 do
-      let row = idx.(i) in
-      if mark.(row) then acc := !acc -. (u.{row} *. va.(i))
-    done;
+    let len = Array.length idx in
+    if !ntouch * 16 < len then begin
+      let lo = ref 0 in
+      for s = 0 to !ntouch - 1 do
+        let row = touched.(s) in
+        let a = ref !lo and b = ref len in
+        while !a < !b do
+          let mid = (!a + !b) lsr 1 in
+          if idx.(mid) < row then a := mid + 1 else b := mid
+        done;
+        if !a < len && idx.(!a) = row then acc := !acc -. (u.{row} *. va.(!a));
+        lo := !a
+      done
+    end
+    else
+      for i = 0 to len - 1 do
+        let row = idx.(i) in
+        if mark.(row) then acc := !acc -. (u.{row} *. va.(i))
+      done;
     let v = !acc /. e.piv in
     if v <> 0. || mark.(e.er) then begin
       u.{e.er} <- v;
@@ -522,8 +548,9 @@ let reduced_costs t =
       !acc)
 
 (* Refactorization: factor the current basis columns with
-   {!Sparse_lu.factor}.  On success the LU replaces both the previous
-   factors and the eta file; a singular basis returns false. *)
+   {!Sparse_lu.factor}, which never writes to the columns it is given, so
+   they are the model's own arrays.  On success the LU replaces both the
+   previous factors and the eta file; a singular basis returns false. *)
 let refactor t =
   Obs.with_span "simplex.lu_refactor"
     ~attrs:[ ("m", Obs.Int t.m); ("etas", Obs.Int t.neta) ]
@@ -540,8 +567,8 @@ let refactor t =
       bnnz := !bnnz + Array.length t.col_idx.(j)
     end
     else begin
-      idx.(k) <- [| j - t.n |];
-      va.(k) <- [| 1. |];
+      idx.(k) <- t.slack_idx.(j - t.n);
+      va.(k) <- t.unit_val;
       incr bnnz
     end
   done;
@@ -639,15 +666,20 @@ let select_leaving t =
    would get if the entering variable defined the reference framework;
    the pivot row's own weight is rescaled by the pivot element.  When the
    weights blow past 1e12 the reference framework has degraded — restart
-   it flat (the classic devex reset). *)
+   it flat (the classic devex reset).  The same sweep records the
+   off-pivot nonzero rows of w in [t.wpat] for [push_eta] and returns
+   their count. *)
 let devex_update t r (w : Vec.t) =
   let wr = w.{r} in
   let gr = t.dw.{r} in
   let mx = ref 1. in
+  let nz = ref 0 in
   for i = 0 to t.m - 1 do
     if i <> r then begin
       let wi = w.{i} in
       if wi <> 0. then begin
+        t.wpat.(!nz) <- i;
+        incr nz;
         let q = wi /. wr in
         let cand = q *. q *. gr in
         if cand > t.dw.{i} then t.dw.{i} <- cand
@@ -656,14 +688,18 @@ let devex_update t r (w : Vec.t) =
     end
   done;
   t.dw.{r} <- Float.max (gr /. (wr *. wr)) 1.;
-  if Float.max !mx t.dw.{r} > 1e12 then Vec.fill t.dw 1.
+  if Float.max !mx t.dw.{r} > 1e12 then Vec.fill t.dw 1.;
+  !nz
 
 (* Pivot-row pricing: alpha_j = rho . A_j for every column, computed by
    scattering the nonzero entries of rho through the row-major matrix —
    O(nnz of the touched rows) instead of a gather over all nn columns.
-   Scatter order is ascending row index, and the movable
-   list is sorted so the ratio test scans candidates in ascending
-   variable order (determinism).  Touched positions are recorded for
+   Scatter order is ascending row index.  The movable list comes out in
+   ascending variable order, which the ratio test's tie-break depends
+   on: a descending sweep over the scatter marks conses it up without a
+   sort.  The touched set is about a tenth of the columns on the layout
+   models, and the O(nn) sweep of a bool array still costs a tenth of a
+   comparison sort of it.  Touched positions are recorded for
    [clear_alpha]. *)
 let scatter_price t (rho : Vec.t) =
   let ntouch = ref 0 in
@@ -689,13 +725,11 @@ let scatter_price t (rho : Vec.t) =
     end
   done;
   t.natouch <- !ntouch;
-  let touched = Array.sub t.atouch 0 !ntouch in
-  Array.sort (fun (a : int) b -> compare a b) touched;
   let movable = ref [] in
-  for k = !ntouch - 1 downto 0 do
-    let j = touched.(k) in
+  for j = t.nn - 1 downto 0 do
     if
-      t.loc.(j) < 0
+      t.amark.(j)
+      && t.loc.(j) < 0
       && t.ub.{j} -. t.lb.{j} > 1e-12
       && Float.abs t.alpha.{j} > pivot_tol
     then movable := j :: !movable
@@ -790,8 +824,7 @@ let dual_step t =
         t.loc.(p) <- (if above then -2 else -1);
         t.loc.(q) <- r;
         t.basis.(r) <- q;
-        devex_update t r w;
-        push_eta t r w;
+        push_eta t r w (devex_update t r w);
         clear_alpha t;
         if Float.abs delta <= 1e-9 then t.degen_count <- t.degen_count + 1
         else begin
@@ -924,8 +957,7 @@ let primal_step t =
       t.loc.(p) <- (if coef > 0. then -2 else -1);
       t.loc.(q) <- r;
       t.basis.(r) <- q;
-      devex_update t r w;
-      push_eta t r w;
+      push_eta t r w (devex_update t r w);
       if delta <= 1e-9 then t.degen_count <- t.degen_count + 1
       else begin
         t.degen_count <- 0;

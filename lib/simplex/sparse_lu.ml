@@ -1,12 +1,12 @@
 (* Right-looking sparse LU with Markowitz pivoting.
 
    The active submatrix lives in dynamic sparse columns (exact: only
-   active-row entries, rebuilt on every update) plus per-row lists of the
-   columns whose pattern ever included the row (append-only, so they may
-   carry stale references; membership is re-validated by scanning the
-   column before use).  Row/column nonzero counts are exact, and columns
-   are bucketed by count in doubly-linked lists so the pivot search walks
-   the sparsest columns first.
+   active-row entries, kept current by every update) plus per-row lists
+   of the columns whose pattern ever included the row (append-only, so
+   they may carry stale references; membership is re-validated by
+   scanning the column before use).  Row/column nonzero counts are
+   exact, and columns are bucketed by count in doubly-linked lists so
+   the pivot search walks the sparsest columns first.
 
    At step k the search examines buckets in increasing column count,
    collecting up to [search_cols] candidate columns with an acceptable
@@ -17,12 +17,17 @@
    and search time.
 
    Elimination is classic right-looking: the pivot column's multipliers
-   become column k of L, the pivot row becomes row k of U, and every
-   active column containing the pivot row is rebuilt through a scatter/
-   gather workspace (exact cancellations are dropped; fill entries update
-   the row lists and counts).  After the last step the stored indices are
-   remapped into pivot-order space so the triangular solves need no
-   indirection. *)
+   become column k of L and the pivot row becomes row k of U.  When the
+   pivot column is a singleton (no multipliers: a slack, typically, and
+   the large majority of steps on slack-heavy bases) the update of an
+   active column containing the pivot row is just the removal of that
+   row, done in place with the entry order kept.  Otherwise each such
+   column is rebuilt through a scatter/gather workspace and fill entries
+   update the row lists and counts.  Both paths drop exact zeros.  The
+   caller's columns are shared until the first write to each (copy on
+   write), so a column the elimination never touches is never copied.
+   After the last step the stored indices are remapped into pivot-order
+   space so the triangular solves need no indirection. *)
 
 type t = {
   m : int;
@@ -62,44 +67,68 @@ let factor (cols_idx : int array array) (cols_val : float array array) =
   let m = Array.length cols_idx in
   if m = 0 then Some (identity 0)
   else begin
-    (* Dynamic columns: exact active-submatrix contents. *)
-    let c_idx = Array.map Array.copy cols_idx in
-    let c_val = Array.map Array.copy cols_val in
+    (* Dynamic columns: exact active-submatrix contents in the first
+       c_len entries (c_len is also the column's count).  A column still
+       shares the caller's arrays until [owned] says otherwise. *)
+    let c_idx = Array.copy cols_idx in
+    let c_val = Array.copy cols_val in
     let c_len = Array.map Array.length cols_idx in
-    (* Append-only row lists (possibly stale) + exact row counts. *)
-    let r_cols = Array.make m [||] in
-    let r_len = Array.make m 0 in
+    let owned = Array.make m false in
+    (* Append-only row lists (possibly stale) + exact row counts.  Row i
+       lists the columns r_store.(r_beg.(i) .. r_beg.(i) + r_len.(i) - 1)
+       of one flat store, laid out at its exact initial size; a row that
+       outgrows its room through fill moves to the end of the store, in
+       order. *)
     let rowcnt = Array.make m 0 in
+    for j = 0 to m - 1 do
+      let ci = cols_idx.(j) in
+      for e = 0 to Array.length ci - 1 do
+        rowcnt.(ci.(e)) <- rowcnt.(ci.(e)) + 1
+      done
+    done;
+    let r_beg = Array.make m 0 and r_cap = Array.copy rowcnt in
+    let r_len = Array.make m 0 in
+    let top = ref 0 in
+    for i = 0 to m - 1 do
+      r_beg.(i) <- !top;
+      top := !top + rowcnt.(i)
+    done;
+    let r_store = ref (Array.make (2 * !top) 0) in
     let rpush i j =
-      if r_len.(i) >= Array.length r_cols.(i) then begin
-        let grown = Array.make (max 4 (2 * Array.length r_cols.(i))) 0 in
-        Array.blit r_cols.(i) 0 grown 0 r_len.(i);
-        r_cols.(i) <- grown
+      if r_len.(i) >= r_cap.(i) then begin
+        let cap = max 4 (2 * r_cap.(i)) in
+        if !top + cap > Array.length !r_store then begin
+          let grown = Array.make (2 * (!top + cap)) 0 in
+          Array.blit !r_store 0 grown 0 !top;
+          r_store := grown
+        end;
+        Array.blit !r_store r_beg.(i) !r_store !top r_len.(i);
+        r_beg.(i) <- !top;
+        r_cap.(i) <- cap;
+        top := !top + cap
       end;
-      r_cols.(i).(r_len.(i)) <- j;
+      !r_store.(r_beg.(i) + r_len.(i)) <- j;
       r_len.(i) <- r_len.(i) + 1
     in
     for j = 0 to m - 1 do
-      Array.iter
-        (fun i ->
-           rowcnt.(i) <- rowcnt.(i) + 1;
-           rpush i j)
-        cols_idx.(j)
+      let ci = cols_idx.(j) in
+      for e = 0 to Array.length ci - 1 do
+        rpush ci.(e) j
+      done
     done;
     (* Columns bucketed by nonzero count (doubly-linked lists). *)
-    let colcnt = Array.copy c_len in
     let head = Array.make (m + 1) (-1) in
     let nxt = Array.make m (-1) and prv = Array.make m (-1) in
     let cmin = ref 1 in
     let unlink j =
-      let c = colcnt.(j) in
+      let c = c_len.(j) in
       if prv.(j) >= 0 then nxt.(prv.(j)) <- nxt.(j) else head.(c) <- nxt.(j);
       if nxt.(j) >= 0 then prv.(nxt.(j)) <- prv.(j);
       prv.(j) <- -1;
       nxt.(j) <- -1
     in
     let link j =
-      let c = colcnt.(j) in
+      let c = c_len.(j) in
       prv.(j) <- -1;
       nxt.(j) <- head.(c);
       if head.(c) >= 0 then prv.(head.(c)) <- j;
@@ -109,15 +138,21 @@ let factor (cols_idx : int array array) (cols_val : float array array) =
     for j = 0 to m - 1 do
       link j
     done;
+    let relink j len =
+      unlink j;
+      c_len.(j) <- len;
+      link j
+    in
     let col_active = Array.make m true in
     (* Outputs (original index space until the final remap). *)
     let lcol_idx = Array.make m [||] and lcol_val = Array.make m [||] in
     let urow_idx = Array.make m [||] and urow_val = Array.make m [||] in
     let upiv = Array.make m 0. in
     let rowperm = Array.make m (-1) and colperm = Array.make m (-1) in
-    (* Scatter workspace for column updates. *)
+    (* Scatter workspace for column updates; U-row accumulator. *)
     let wval = Array.make m 0. and wmark = Array.make m false in
     let wpat = Array.make m 0 in
+    let ui = Array.make m 0 and uv = Array.make m 0. in
     match
       for k = 0 to m - 1 do
         (* ---- pivot search ---- *)
@@ -183,110 +218,151 @@ let factor (cols_idx : int array array) (cols_val : float array array) =
         done;
         let piv = !piv in
         upiv.(k) <- piv;
+        (* a singleton's only entry is row pr, whose count is reset below *)
         let nl = c_len.(pc) - 1 in
-        let li = Array.make (max nl 0) 0 and lv = Array.make (max nl 0) 0. in
-        let p = ref 0 in
-        for e = 0 to c_len.(pc) - 1 do
-          let i = c_idx.(pc).(e) in
-          rowcnt.(i) <- rowcnt.(i) - 1;
-          if i <> pr then begin
-            li.(!p) <- i;
-            lv.(!p) <- c_val.(pc).(e) /. piv;
-            incr p
-          end
-        done;
-        lcol_idx.(k) <- li;
-        lcol_val.(k) <- lv;
-        unlink pc;
-        col_active.(pc) <- false;
-        colcnt.(pc) <- 0;
-        c_len.(pc) <- 0;
-        c_idx.(pc) <- [||];
-        c_val.(pc) <- [||];
-        (* ---- pivot row -> U row k; rank-1 update of touched columns ---- *)
-        let nu = ref 0 in
-        let ui = ref (Array.make 8 0) and uv = ref (Array.make 8 0.) in
-        for e = 0 to r_len.(pr) - 1 do
-          let jj = r_cols.(pr).(e) in
-          if col_active.(jj) then begin
-            let uval = ref 0. and present = ref false in
-            for q = 0 to c_len.(jj) - 1 do
-              if c_idx.(jj).(q) = pr then begin
-                uval := c_val.(jj).(q);
-                present := true
+        let li, lv =
+          if nl = 0 then ([||], [||])
+          else begin
+            let li = Array.make nl 0 and lv = Array.make nl 0. in
+            let p = ref 0 in
+            for e = 0 to c_len.(pc) - 1 do
+              let i = c_idx.(pc).(e) in
+              rowcnt.(i) <- rowcnt.(i) - 1;
+              if i <> pr then begin
+                li.(!p) <- i;
+                lv.(!p) <- c_val.(pc).(e) /. piv;
+                incr p
               end
             done;
-            (* the row list is append-only: [jj] may be stale (the entry
-               cancelled in an earlier update) or a duplicate already
-               consumed this step (its pr entry was dropped below) *)
-            if !present then begin
-              if !nu >= Array.length !ui then begin
-                let gi = Array.make (2 * Array.length !ui) 0 in
-                let gv = Array.make (2 * Array.length !uv) 0. in
-                Array.blit !ui 0 gi 0 !nu;
-                Array.blit !uv 0 gv 0 !nu;
-                ui := gi;
-                uv := gv
-              end;
-              !ui.(!nu) <- jj;
-              !uv.(!nu) <- !uval;
-              incr nu;
-              (* column jj := column jj - l * uval, dropping row pr *)
-              let npat = ref 0 in
-              for q = 0 to c_len.(jj) - 1 do
-                let i = c_idx.(jj).(q) in
-                if i <> pr then begin
-                  wval.(i) <- c_val.(jj).(q);
-                  wmark.(i) <- true;
-                  wpat.(!npat) <- i;
-                  incr npat
-                end
-              done;
-              let u = !uval in
-              for q = 0 to nl - 1 do
-                let i = li.(q) in
-                let delta = -.(lv.(q) *. u) in
-                if wmark.(i) then wval.(i) <- wval.(i) +. delta
-                else begin
-                  wval.(i) <- delta;
-                  wmark.(i) <- true;
-                  wpat.(!npat) <- i;
-                  incr npat;
-                  rowcnt.(i) <- rowcnt.(i) + 1;
-                  rpush i jj
-                end
-              done;
-              let nlen = ref 0 in
-              for q = 0 to !npat - 1 do
-                if wval.(wpat.(q)) <> 0. then incr nlen
-              done;
-              let gi = Array.make !nlen 0 and gv = Array.make !nlen 0. in
-              let p2 = ref 0 in
-              for q = 0 to !npat - 1 do
-                let i = wpat.(q) in
-                if wval.(i) <> 0. then begin
-                  gi.(!p2) <- i;
-                  gv.(!p2) <- wval.(i);
-                  incr p2
-                end
-                else rowcnt.(i) <- rowcnt.(i) - 1;
-                wmark.(i) <- false;
-                wval.(i) <- 0.
-              done;
-              c_idx.(jj) <- gi;
-              c_val.(jj) <- gv;
-              c_len.(jj) <- !nlen;
-              unlink jj;
-              colcnt.(jj) <- !nlen;
-              link jj
-            end
+            lcol_idx.(k) <- li;
+            lcol_val.(k) <- lv;
+            (li, lv)
           end
+        in
+        unlink pc;
+        col_active.(pc) <- false;
+        c_len.(pc) <- 0;
+        (* ---- pivot row -> U row k; rank-1 update of touched columns ---- *)
+        (* The row list is append-only: a listed column may be stale (its
+           row-pr entry cancelled in an earlier update) or a duplicate
+           already consumed this step (its row-pr entry was dropped); then
+           row pr is absent and the column is left alone.  A column the
+           elimination never wrote to still has every original entry, so
+           it is never stale. *)
+        let nu = ref 0 in
+        for e = 0 to r_len.(pr) - 1 do
+          (* re-read the store: fill may have grown it *)
+          let jj = !r_store.(r_beg.(pr) + e) in
+          if col_active.(jj) then
+            if nl = 0 then begin
+              (* singleton pivot: column jj only loses row pr, in place
+                 and in order.  A written column holds no exact zeros:
+                 find row pr and close the gap.  The first write instead
+                 filters into a private copy, dropping exact zeros. *)
+              let len = c_len.(jj) and si = c_idx.(jj) and sv = c_val.(jj) in
+              if owned.(jj) then begin
+                let p = ref 0 in
+                while !p < len && si.(!p) <> pr do
+                  incr p
+                done;
+                if !p < len then begin
+                  ui.(!nu) <- jj;
+                  uv.(!nu) <- sv.(!p);
+                  incr nu;
+                  for q = !p to len - 2 do
+                    si.(q) <- si.(q + 1);
+                    sv.(q) <- sv.(q + 1)
+                  done;
+                  relink jj (len - 1)
+                end
+              end
+              else begin
+                let di = Array.make len 0 and dv = Array.make len 0. in
+                let uval = ref 0. and nlen = ref 0 in
+                for q = 0 to len - 1 do
+                  let i = si.(q) and v = sv.(q) in
+                  if i = pr then uval := v
+                  else if v <> 0. then begin
+                    di.(!nlen) <- i;
+                    dv.(!nlen) <- v;
+                    incr nlen
+                  end
+                  else rowcnt.(i) <- rowcnt.(i) - 1
+                done;
+                ui.(!nu) <- jj;
+                uv.(!nu) <- !uval;
+                incr nu;
+                c_idx.(jj) <- di;
+                c_val.(jj) <- dv;
+                owned.(jj) <- true;
+                relink jj !nlen
+              end
+            end
+            else begin
+              let uval = ref 0. and present = ref false in
+              for q = 0 to c_len.(jj) - 1 do
+                if c_idx.(jj).(q) = pr then begin
+                  uval := c_val.(jj).(q);
+                  present := true
+                end
+              done;
+              if !present then begin
+                ui.(!nu) <- jj;
+                uv.(!nu) <- !uval;
+                incr nu;
+                (* column jj := column jj - l * uval, dropping row pr *)
+                let npat = ref 0 in
+                for q = 0 to c_len.(jj) - 1 do
+                  let i = c_idx.(jj).(q) in
+                  if i <> pr then begin
+                    wval.(i) <- c_val.(jj).(q);
+                    wmark.(i) <- true;
+                    wpat.(!npat) <- i;
+                    incr npat
+                  end
+                done;
+                let u = !uval in
+                for q = 0 to nl - 1 do
+                  let i = li.(q) in
+                  let delta = -.(lv.(q) *. u) in
+                  if wmark.(i) then wval.(i) <- wval.(i) +. delta
+                  else begin
+                    wval.(i) <- delta;
+                    wmark.(i) <- true;
+                    wpat.(!npat) <- i;
+                    incr npat;
+                    rowcnt.(i) <- rowcnt.(i) + 1;
+                    rpush i jj
+                  end
+                done;
+                let nlen = ref 0 in
+                for q = 0 to !npat - 1 do
+                  if wval.(wpat.(q)) <> 0. then incr nlen
+                done;
+                let gi = Array.make !nlen 0 and gv = Array.make !nlen 0. in
+                let p2 = ref 0 in
+                for q = 0 to !npat - 1 do
+                  let i = wpat.(q) in
+                  if wval.(i) <> 0. then begin
+                    gi.(!p2) <- i;
+                    gv.(!p2) <- wval.(i);
+                    incr p2
+                  end
+                  else rowcnt.(i) <- rowcnt.(i) - 1;
+                  wmark.(i) <- false;
+                  wval.(i) <- 0.
+                done;
+                c_idx.(jj) <- gi;
+                c_val.(jj) <- gv;
+                owned.(jj) <- true;
+                relink jj !nlen
+              end
+            end
         done;
-        urow_idx.(k) <- Array.sub !ui 0 !nu;
-        urow_val.(k) <- Array.sub !uv 0 !nu;
+        urow_idx.(k) <- Array.sub ui 0 !nu;
+        urow_val.(k) <- Array.sub uv 0 !nu;
         rowcnt.(pr) <- 0;
-        r_len.(pr) <- 0;
-        r_cols.(pr) <- [||]
+        r_len.(pr) <- 0
       done
     with
     | exception Singular -> None

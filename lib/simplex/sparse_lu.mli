@@ -24,9 +24,10 @@ type t
 val factor : int array array -> float array array -> t option
 (** [factor cols_idx cols_val] factors the square matrix whose [j]-th
     column has row indices [cols_idx.(j)] and values [cols_val.(j)]
-    (one entry per row, unordered).  Returns [None] when the matrix is
-    structurally or numerically singular (no remaining entry passes the
-    absolute pivot tolerance 1e-12). *)
+    (one entry per row, unordered).  The input arrays are never written
+    to, so they may be shared with the caller's model.  Returns [None]
+    when the matrix is structurally or numerically singular (no remaining
+    entry passes the absolute pivot tolerance 1e-12). *)
 
 val identity : int -> t
 (** Trivial factors of the m×m identity — the all-slack start basis. *)

@@ -80,21 +80,6 @@ let test_exception_propagates () =
          Alcotest.(check int) "all tasks still ran" 10 (Atomic.get ran))
     [ 1; 3 ]
 
-let test_worker_index_in_range () =
-  let jobs = 4 in
-  let seen =
-    Par.with_pool ~jobs (fun pool ->
-        Par.map_list pool (fun _ -> Par.worker_index ()) (List.init 64 Fun.id))
-  in
-  List.iter
-    (fun ix ->
-       Alcotest.(check bool)
-         (Printf.sprintf "index %d in [0,%d)" ix jobs)
-         true
-         (ix >= 0 && ix < jobs))
-    seen;
-  Alcotest.(check int) "outside any pool" 0 (Par.worker_index ())
-
 let test_degenerate_pool () =
   (* jobs = 1 runs on the caller, sequentially, in submission order. *)
   let order = ref [] in
@@ -353,7 +338,6 @@ let () =
          Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
          Alcotest.test_case "exception propagates" `Quick
            test_exception_propagates;
-         Alcotest.test_case "worker index" `Quick test_worker_index_in_range;
          Alcotest.test_case "degenerate pool" `Quick test_degenerate_pool;
        ]);
       ("rng-split",

@@ -454,6 +454,84 @@ let prop_sparse_lu_matches_dense =
             done);
          Sparse_lu.nnz lu >= m && !ok_f && !ok_b)
 
+(* Slack-heavy bases, as branch-and-bound refactors them: 60-90 % of the
+   columns are unit (slack) columns, so most elimination steps pivot on a
+   column singleton, and the structural rest also cross the slack rows,
+   so fill and the general update run too.  Some entries, in unit and
+   structural columns alike, are explicitly stored zeros.  Column j owns
+   the distinct home row perm.(j), with |a| >= 1 on a unit column and
+   >= 2 on a structural one against at most 1.5 of other mass, so the
+   matrix is a row permutation of a column diagonally dominant one:
+   nonsingular and well conditioned. *)
+let gen_slack_heavy_basis =
+  let open QCheck2.Gen in
+  let* m = int_range 1 80 in
+  let* slack_pct = int_range 60 90 in
+  let* perm = shuffle_a (Array.init m Fun.id) in
+  let* cols =
+    list_size (return m)
+      (triple (int_range 0 99) (float_range 2. 4.)
+         (list_size (int_range 0 3)
+            (pair (int_range 0 (m - 1)) (float_range (-0.5) 0.5))))
+  in
+  let* zeros =
+    list_size (int_range 0 ((m / 4) + 1))
+      (pair (int_range 0 (m - 1)) (int_range 0 (m - 1)))
+  in
+  (* column j -> (row, value) entries, distinct rows, in no set order *)
+  let entries = Array.make m [] in
+  let add j (i, v) =
+    if not (List.mem_assoc i entries.(j)) then
+      entries.(j) <- (i, v) :: entries.(j)
+  in
+  List.iteri
+    (fun j (kind, home, off) ->
+       if kind < slack_pct then add j (perm.(j), 1.)
+       else begin
+         add j (perm.(j), if kind mod 2 = 0 then home else -.home);
+         List.iter (add j) off
+       end)
+    cols;
+  List.iter (fun (i, j) -> add j (i, 0.)) zeros;
+  return entries
+
+let prop_sparse_lu_slack_heavy =
+  QCheck2.Test.make ~count:300
+    ~name:
+      "sparse LU: slack-heavy bases with stored zeros agree with dense \
+       elimination to 1e-9, inputs untouched"
+    gen_slack_heavy_basis
+    (fun entries ->
+       let m = Array.length entries in
+       let idx = Array.map (fun l -> Array.of_list (List.map fst l)) entries in
+       let va = Array.map (fun l -> Array.of_list (List.map snd l)) entries in
+       let idx0 = Array.map Array.copy idx and va0 = Array.map Array.copy va in
+       let a = Array.make_matrix m m 0. in
+       Array.iteri
+         (fun j l -> List.iter (fun (i, v) -> a.(i).(j) <- v) l)
+         entries;
+       let b = Array.init m (fun i -> Float.of_int ((i mod 5) - 2) +. 0.25) in
+       let close (v : Vec.t) x =
+         let ok = ref true in
+         Array.iteri
+           (fun i xi ->
+              if Float.abs (v.{i} -. xi) > 1e-9 *. (1. +. Float.abs xi) then
+                ok := false)
+           x;
+         !ok
+       in
+       match
+         (Sparse_lu.factor idx va, dense_solve a b,
+          dense_solve (transpose a) b)
+       with
+       | Some lu, Some xd, Some xt ->
+         let work = Vec.create m in
+         let xf = Vec.of_array b and xb = Vec.of_array b in
+         Sparse_lu.ftran lu ~work xf;
+         Sparse_lu.btran lu ~work xb;
+         close xf xd && close xb xt && idx = idx0 && va = va0
+       | _ -> false)
+
 let test_sparse_lu_singular () =
   (* structurally singular: a duplicated column *)
   let idx = [| [| 0; 1 |]; [| 0; 1 |]; [| 2 |] |] in
@@ -467,6 +545,25 @@ let test_sparse_lu_singular () =
   match Sparse_lu.factor idx va with
   | None -> ()
   | Some _ -> Alcotest.fail "factor accepted a numerically singular matrix"
+
+(* An explicitly stored zero counts toward the Markowitz row and column
+   counts until its column is first written, and is dropped there.  Here
+   the slack pivot on row 2 writes column 0 and drops its stored (1, 0.),
+   so column 0 then pivots on row 0 with no U entry left for row 1: four
+   stored factor entries.  Were the zero kept, column 1 would pivot first
+   and carry it into U as a fifth entry. *)
+let test_sparse_lu_stored_zero () =
+  let idx = [| [| 2; 0; 1 |]; [| 1 |]; [| 2 |] |] in
+  let va = [| [| 3.; 3.; 0. |]; [| 4. |]; [| 4. |] |] in
+  match Sparse_lu.factor idx va with
+  | None -> Alcotest.fail "factor rejected a nonsingular matrix"
+  | Some lu ->
+    Alcotest.(check int) "nnz" 4 (Sparse_lu.nnz lu);
+    (* B = [3 0 0; 0 4 0; 3 0 4]: B w = (3, 4, 7) has w = (1, 1, 1) *)
+    let w = Vec.of_array [| 3.; 4.; 7. |] in
+    Sparse_lu.ftran lu ~work:(Vec.create 3) w;
+    Alcotest.(check (array (float 1e-12)))
+      "ftran" [| 1.; 1.; 1. |] (Vec.to_array w)
 
 let test_sparse_lu_identity () =
   let lu = Sparse_lu.identity 4 in
@@ -602,6 +699,9 @@ let () =
       ("sparse-lu",
        [ Alcotest.test_case "identity factors" `Quick test_sparse_lu_identity;
          Alcotest.test_case "singular rejection" `Quick test_sparse_lu_singular;
+         Alcotest.test_case "stored zero dropped" `Quick
+           test_sparse_lu_stored_zero;
          QCheck_alcotest.to_alcotest prop_sparse_lu_matches_dense;
+         QCheck_alcotest.to_alcotest prop_sparse_lu_slack_heavy;
        ]);
     ]

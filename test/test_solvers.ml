@@ -318,6 +318,38 @@ let prop_qp_leq_sa =
          opt <= sa.Sa_solver.objective6 +. 1e-6 *. (1. +. Float.abs opt)
        | _ -> false)
 
+(* Golden work counters of three fast bundled solves at the CLI defaults
+   (p = 8, lambda = 0.9, one job).  Nodes, simplex iterations and
+   refactorizations are deterministic for a sequential solve, so a
+   kernel change that is meant to leave every pivot alone must leave
+   these values alone too. *)
+let golden_work =
+  [ ("tatp", 4, (95, 3711, 112));
+    ("tpcc", 3, (29, 2001, 61));
+    ("smallbank", 4, (7, 385, 11)) ]
+
+let test_qp_pivot_path_pinned () =
+  let dir =
+    if Sys.file_exists "instances" then "instances" else "../instances"
+  in
+  List.iter
+    (fun (name, sites, (nodes, iters, refactors)) ->
+       let inst = Codec.load_instance (Filename.concat dir (name ^ ".json")) in
+       let options =
+         { Qp_solver.default_options with
+           Qp_solver.num_sites = sites; lambda = 0.9 }
+       in
+       let r = Qp_solver.solve ~options inst in
+       let n = r.Qp_solver.nodes and i = r.Qp_solver.simplex_iters
+       and f = r.Qp_solver.refactorizations in
+       if (n, i, f) <> (nodes, iters, refactors) then
+         Alcotest.failf
+           "%s@%d: nodes/iterations/refactorizations %d/%d/%d, pinned \
+            %d/%d/%d.  A pivot-path change must update these values and \
+            say so in CHANGES.md."
+           name sites n i f nodes iters refactors)
+    golden_work
+
 let () =
   Alcotest.run "solvers"
     [ ("qp",
@@ -330,6 +362,8 @@ let () =
            test_qp_replication_never_hurts;
          Alcotest.test_case "grouping ablation" `Slow test_qp_grouping_ablation;
          Alcotest.test_case "too large" `Quick test_qp_too_large;
+         Alcotest.test_case "pivot path pinned" `Quick
+           test_qp_pivot_path_pinned;
        ]);
       ("sa",
        [ Alcotest.test_case "deterministic" `Quick test_sa_deterministic;
